@@ -319,6 +319,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         run = build_dayrun(seed=args.seed, horizon_s=horizon_s,
                            profiler=recorder)
     digest = run.platform.traces.digest()
+    lbs = run.platform.workerlbs.values()
+    work = {"completions": run.platform.completed_count(),
+            "dispatches": sum(lb.dispatch_count + lb.reject_count
+                              for lb in lbs),
+            "probes": sum(lb.probe_count for lb in lbs),
+            "column_refusals": sum(lb.column_refusals for lb in lbs),
+            "execute_refusals": sum(lb.execute_refusals for lb in lbs)}
 
     if args.flamegraph:
         folded = recorder.collapsed()
@@ -336,12 +343,19 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "horizon_s": horizon_s, "seed": args.seed,
             "events_executed": run.sim.events_executed,
             "trace_digest": digest,
+            "dispatch_work": work,
             "profile": recorder.to_json(),
         }, indent=1))
     else:
         print()
         print(recorder.table(top=args.top))
         print()
+        per = {k: v / max(1, work["completions"]) for k, v in work.items()}
+        print(f"dispatch work per completion ({work['completions']} "
+              f"completions): {per['dispatches']:.2f} dispatches, "
+              f"{per['probes']:.2f} probes, refused "
+              f"{per['column_refusals']:.2f} off the columns + "
+              f"{per['execute_refusals']:.2f} by Worker.execute")
         print(f"events executed: {run.sim.events_executed}, "
               f"trace digest {digest[:12]}...")
     if args.expect_digest and digest != args.expect_digest:

@@ -4,16 +4,26 @@ import math
 
 import pytest
 
-from repro import Simulator, XFaaS, build_topology
-from repro.core import CallOutcome, FunctionCall
+from repro import PlatformParams, Simulator, XFaaS, build_topology
+from repro.cluster import MachineSpec, size_topology_for_utilization
+from repro.core import (
+    CallOutcome,
+    FunctionCall,
+    LocalityParams,
+    SchedulerParams,
+)
 from repro.core.call import CallIdAllocator
 from repro.core.elastic import ElasticPool, ElasticSchedule, ElasticWorker
 from repro.workloads import (
+    ArrivalGenerator,
+    ConstantRate,
     Criticality,
     FunctionSpec,
     LogNormal,
     QuotaType,
     ResourceProfile,
+    build_population,
+    estimate_demand_minstr,
 )
 
 
@@ -122,3 +132,53 @@ class TestElasticPool:
         sim.run_until(3600.0)
         # Every call completed despite reclaims (at-least-once retries).
         assert platform.completed_count() == 4
+
+
+class TestElasticDigestPin:
+    """Mixed base + elastic pools: the WorkerLB screens base rows off the
+    worker columns but defers elastic rows to their own ``can_admit``
+    (which refuses before sampling resources).  The pinned digest was
+    recorded before dispatch gained its column pre-check."""
+
+    DIGEST = "0d36bed99156c6f96e0df47492f3c6a5c78f9ff9d3107407296808bad38650a8"
+
+    def test_mixed_pool_trace_digest(self):
+        horizon_s = 420.0
+        sim = Simulator(seed=11)
+        population = build_population(n_functions=24, total_rate=8.0,
+                                      opportunistic_fraction=0.5)
+        for load in population.loads:
+            load.shape = ConstantRate(1.0)
+            load.shape_mean = 1.0
+        machine = MachineSpec(cores=2, core_mips=500, threads=48)
+        demand = estimate_demand_minstr(population,
+                                        core_mips=machine.core_mips)
+        topology = size_topology_for_utilization(
+            demand, target_utilization=0.85, n_regions=2,
+            machine_spec=machine)
+        platform = XFaaS(sim, topology, PlatformParams(
+            scheduler=SchedulerParams(poll_interval_s=2.0,
+                                      buffer_capacity=500,
+                                      runq_capacity=200),
+            locality=LocalityParams(n_groups=2),
+            memory_sample_interval_s=60.0,
+            distinct_window_s=300.0))
+        # Elastic capacity is reclaimed mid-run and granted back, so the
+        # pool holds available and unavailable elastic rows in turn.
+        schedule = ElasticSchedule(available_windows=((0.0, 150.0),
+                                                      (300.0, 86_400.0)))
+        pools = [platform.add_elastic_pool(r, n_workers=2,
+                                           schedule=schedule)
+                 for r in topology.region_names]
+        for spec in population.specs:
+            platform.register_function(spec)
+        ArrivalGenerator(sim, population,
+                         lambda spec, delay: platform.submit(spec.name),
+                         tick_s=10.0, stop_at=horizon_s)
+        sim.run_until(horizon_s)
+
+        elastic = [w for pool in pools for w in pool.workers]
+        assert sum(pool.reclaims for pool in pools) > 0
+        assert sum(w.calls_completed for w in elastic) > 0
+        assert sum(w.admission_rejections for w in elastic) > 0
+        assert platform.traces.digest() == self.DIGEST

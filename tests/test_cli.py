@@ -83,6 +83,18 @@ class TestCommands:
         assert len(summary["region_utilization"]) == 3
         assert set(summary["latency_s"]) == {"p50", "p95", "p99"}
 
+    def test_profile_reports_dispatch_work(self, capsys):
+        import json
+        argv = ["profile", "--hours", "0.05", "--top", "2"]
+        assert main(argv) == 0
+        assert "dispatch work per completion" in capsys.readouterr().out
+        assert main(argv + ["--json"]) == 0
+        work = json.loads(capsys.readouterr().out)["dispatch_work"]
+        assert work["completions"] > 0
+        assert work["probes"] >= work["dispatches"] > 0
+        assert work["column_refusals"] + work["execute_refusals"] \
+            <= work["probes"]
+
     def test_sweep_smoke_table_and_json(self, capsys):
         import json
         argv = ["sweep", "--runs", "2", "--hours", "0.25", "--rate", "1.5",
