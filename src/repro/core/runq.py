@@ -17,7 +17,7 @@ import heapq
 import itertools
 from typing import List, Optional, Tuple
 
-from .call import CallState, FunctionCall
+from .call import FunctionCall
 
 
 class RunQ:
@@ -42,15 +42,25 @@ class RunQ:
         return len(self._heap) >= self.capacity
 
     def push(self, call: FunctionCall) -> None:
-        if self.full:
+        if len(self._heap) >= self.capacity:
             raise OverflowError("RunQ is full (flow control should prevent this)")
-        call.state = CallState.RUNNABLE
+        call.mark_runnable()
         heapq.heappush(self._heap, (call.sort_key(), next(self._seq), call))
 
     def pop(self) -> Optional[FunctionCall]:
         if not self._heap:
             return None
         return heapq.heappop(self._heap)[2]
+
+    def drain(self) -> List[FunctionCall]:
+        """Remove and return every call, in pop order."""
+        heap = self._heap
+        # Entries are unique (seq) and totally ordered, so a sorted heap
+        # is exactly the successive-pop order.
+        heap.sort()
+        calls = [entry[2] for entry in heap]
+        heap.clear()
+        return calls
 
     def push_front(self, call: FunctionCall) -> None:
         """Return a call the WorkerLB could not place.
