@@ -123,13 +123,30 @@ class TestColumnViewConsistency:
         assert store.mem_mb[i] == w.memory_in_use_mb
 
     def test_load_score_matches_inlined_column_score(self):
+        # The score column is rewritten on every load change: a fresh
+        # row, starts, completions, a crash, a recovery and adoption.
         sim = Simulator()
         store = WorkerArrays()
         w = make_worker(sim, arrays=store)
+        seen = [w.load_score()]
+        assert seen[0] == view_score(store, w._index) > 0.0
         for k in range(3):
             w.execute(make_call(sim, name=f"f{k}", cpu=4000.0, mem=256.0,
-                                exec_s=5.0))
-        assert w.load_score() == view_score(store, w._index)
+                                exec_s=5.0 * (k + 1)))
+            seen.append(w.load_score())
+            assert seen[-1] == view_score(store, w._index)
+        sim.run_until(7.0)
+        for step in (lambda: w.execute(make_call(sim, name="long",
+                                                 mem=1024.0, exec_s=100.0)),
+                     w.fail, w.recover):
+            step()
+            seen.append(w.load_score())
+            assert seen[-1] == view_score(store, w._index)
+        other = WorkerArrays()
+        other.adopt(w)
+        assert w.load_score() == view_score(other, w._index)
+        seen.append(w.load_score())
+        assert len(set(seen)) > 3
 
     def test_admission_flips_exactly_when_thread_column_fills(self):
         sim = Simulator()
