@@ -113,6 +113,20 @@ class TestRunQ:
         with pytest.raises(OverflowError):
             q.push(make_call())
 
+    def test_drain_empties_in_pop_order(self):
+        # Equal sort keys (unassigned call ids) fall back to push order.
+        calls = [make_call(start=float(t), criticality=c, call_id=0)
+                 for t, c in [(5, Criticality.NORMAL), (1, Criticality.LOW),
+                              (3, Criticality.HIGH), (1, Criticality.LOW),
+                              (2, Criticality.NORMAL)]]
+        q, ref = RunQ(), RunQ()
+        for call in calls:
+            q.push(call)
+            ref.push(call)
+        expected = [ref.pop() for _ in calls]
+        assert q.drain() == expected
+        assert len(q) == 0 and q.pop() is None
+
     def test_push_front_preserves_order(self):
         q = RunQ()
         a, b = make_call(), make_call()
