@@ -55,8 +55,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.shards is not None:
         return _cmd_simulate_parallel(args)
     horizon_s = args.hours * 3600.0
-    sim = Simulator(seed=args.seed, queue_backend=args.queue_backend,
-                    sanitize=args.sanitize)
+    sim = Simulator(seed=args.seed, sanitize=args.sanitize)
     diurnal = DiurnalRate(base_rate=1.0, peak_to_trough=args.peak_to_trough)
     population = build_population(
         n_functions=args.functions, total_rate=args.rate,
@@ -161,8 +160,7 @@ def _cmd_simulate_parallel(args: argparse.Namespace) -> int:
         opportunistic_fraction=args.opportunistic,
         peak_to_trough=args.peak_to_trough,
         target_utilization=args.target_utilization,
-        n_shards=args.shards, queue_backend=args.queue_backend,
-        sanitize=args.sanitize)
+        n_shards=args.shards, sanitize=args.sanitize)
     if not args.json:
         print(f"simulating {args.hours} h, {args.rate} calls/s mean, "
               f"{args.regions} regions on {spec.effective_shards} "
@@ -176,7 +174,6 @@ def _cmd_simulate_parallel(args: argparse.Namespace) -> int:
             "hours": args.hours, "rate": args.rate,
             "functions": args.functions, "regions": args.regions,
             "seed": args.seed, "shards": args.shards,
-            "queue_backend": args.queue_backend,
             "sanitize": args.sanitize,
         }
         print(json.dumps(doc, indent=1))
@@ -247,8 +244,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     specs = build_grid(
         n_reps=args.runs, master_seed=args.master_seed, variants=variants,
         horizon_s=args.hours * 3600.0, total_rate=args.rate,
-        n_functions=args.functions, n_regions=args.regions,
-        queue_backend=args.queue_backend)
+        n_functions=args.functions, n_regions=args.regions)
 
     if not args.json:
         print(f"sweeping {len(specs)} runs ({len(variants)} variant(s) × "
@@ -469,10 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(conservative bounded-lag windows; --shards 1 "
                             "runs the same machinery serially and yields a "
                             "bit-identical digest)")
-    sim_p.add_argument("--queue-backend", default=None,
-                       choices=("heap", "calendar"),
-                       help="kernel event-queue implementation (both are "
-                            "bit-identical; calendar is faster at scale)")
     sim_p.add_argument("--sanitize", action="store_true",
                        help="run under the simsan runtime sanitizer: "
                             "bit-identical digest, but cross-shard "
@@ -508,11 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("spawn", "fork", "forkserver"))
     sweep_p.add_argument("--chunksize", type=int, default=None,
                          help="specs dispatched per pool task (default 1)")
-    sweep_p.add_argument("--queue-backend", default=None,
-                         choices=("heap", "calendar"),
-                         help="kernel event-queue implementation for every "
-                              "run (bit-identical; perf knob, not a "
-                              "variant axis)")
     sweep_p.add_argument("--json", action="store_true",
                          help="emit the full sweep report as JSON")
     sweep_p.set_defaults(func=_cmd_sweep)

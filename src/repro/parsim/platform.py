@@ -726,8 +726,7 @@ def build_shard(spec: ParsimSpec, shard_index: int) -> ShardPlatform:
     if not 0 <= shard_index < n_shards:
         raise ValueError(
             f"shard_index {shard_index} out of range for {n_shards} shards")
-    sim = Simulator(seed=spec.seed, queue_backend=spec.queue_backend,
-                    sanitize=spec.sanitize)
+    sim = Simulator(seed=spec.seed, sanitize=spec.sanitize)
     population, spiky_function, topology = build_workload(spec)
     params = default_dayrun_params()
     if params.collect_traces != spec.collect_traces:

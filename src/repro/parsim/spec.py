@@ -15,7 +15,7 @@ of anything but ``(n_regions, n_shards)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 #: Scenarios parsim can shard.  Mirrors ``repro.scenarios.SCENARIOS``
 #: but is its own table: parsim rebuilds the scenario *workload* inside
@@ -41,7 +41,6 @@ class ParsimSpec:
     #: Explicit fleet size (fleetrun only; ignored for dayrun).
     n_workers: int = 400
     n_shards: int = 1
-    queue_backend: Optional[str] = None
     collect_traces: bool = True
     #: Run every shard under the repro.sim.simsan runtime sanitizer
     #: (bit-identical digests; cross-shard violations raise).

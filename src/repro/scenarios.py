@@ -79,9 +79,7 @@ def build_dayrun(seed: int = 7, total_rate: float = 8.0,
                  target_utilization: float = 0.70,
                  overrides: Optional[dict] = None,
                  profiler: Optional[object] = None,
-                 queue_backend: Optional[str] = None,
-                 sanitize: bool = False,
-                 gc_mode: Optional[str] = None) -> DayRun:
+                 sanitize: bool = False) -> DayRun:
     """Build and run the shared full-day simulation.
 
     The default invocation reproduces the paper-shaped workload used by
@@ -96,20 +94,11 @@ def build_dayrun(seed: int = 7, total_rate: float = 8.0,
     simulator before anything is scheduled; the run behaves identically
     (bit-identical trace digest) but attributes wall time per component.
 
-    ``queue_backend`` selects the kernel's event-queue implementation
-    (``"heap"`` or ``"calendar"``); both produce bit-identical traces.
-
     ``sanitize`` runs the whole scenario under the
     :mod:`repro.sim.simsan` runtime sanitizer; behavior (and the trace
     digest) is bit-identical, but determinism violations raise.
-
-    ``gc_mode="freeze"`` freezes the post-setup heap and disables the
-    cyclic collector inside the kernel's run loops (see
-    :class:`~repro.sim.kernel.Simulator`); allocation behavior is
-    GC-invariant, so the trace digest is bit-identical either way.
     """
-    sim = Simulator(seed=seed, queue_backend=queue_backend,
-                    sanitize=sanitize, gc_mode=gc_mode)
+    sim = Simulator(seed=seed, sanitize=sanitize)
     if profiler is not None:
         sim.profiler = profiler
     diurnal = DiurnalRate(base_rate=1.0, peak_to_trough=peak_to_trough)
@@ -167,11 +156,9 @@ def build_fleetrun(n_workers: int, seed: int = 7,
                    horizon_s: float = 600.0,
                    n_functions: int = 40, n_regions: int = 4,
                    opportunistic_fraction: float = 0.5,
-                   queue_backend: Optional[str] = None,
                    overrides: Optional[dict] = None,
                    run_sim: bool = True,
-                   sanitize: bool = False,
-                   gc_mode: Optional[str] = None) -> DayRun:
+                   sanitize: bool = False) -> DayRun:
     """Build and run a dayrun slice over an *explicit-size* worker fleet.
 
     The scale-ladder companion to :func:`build_dayrun`: the workload
@@ -189,8 +176,7 @@ def build_fleetrun(n_workers: int, seed: int = 7,
     if n_workers < n_regions:
         raise ValueError(
             f"n_workers={n_workers} must be >= n_regions={n_regions}")
-    sim = Simulator(seed=seed, queue_backend=queue_backend,
-                    sanitize=sanitize, gc_mode=gc_mode)
+    sim = Simulator(seed=seed, sanitize=sanitize)
     diurnal = DiurnalRate(base_rate=1.0, peak_to_trough=4.3)
     population = build_population(
         n_functions=n_functions, total_rate=total_rate,

@@ -1,22 +1,13 @@
 """Deterministic discrete-event simulation kernel.
 
 The substrate the entire XFaaS reproduction runs on: a single-threaded
-event loop (:class:`Simulator`), generator processes (:func:`spawn`),
-shared resources (:class:`Resource`, :class:`Store`), one-shot
-:class:`Signal` events, and named reproducible RNG streams.
+event loop (:class:`Simulator`) over one event queue of plain callbacks,
+periodic ticks (:class:`PeriodicTask`), and named reproducible RNG
+streams.
 """
 
-from .calqueue import CalendarQueue
-from .events import EventCancelled, EventQueue, ScheduledEvent, Signal
-from .kernel import (
-    DEFAULT_QUEUE_BACKEND,
-    QUEUE_BACKENDS,
-    PeriodicTask,
-    SimulationError,
-    Simulator,
-)
-from .process import Process, ProcessKilled, spawn
-from .resources import Resource, Store
+from .events import EventQueue, ScheduledEvent
+from .kernel import PeriodicTask, SimulationError, Simulator
 from .rng import RngRegistry, RngStream, derive_seed
 from .simsan import (
     RegionMapProxy,
@@ -27,16 +18,9 @@ from .simsan import (
 )
 
 __all__ = [
-    "CalendarQueue",
-    "DEFAULT_QUEUE_BACKEND",
-    "EventCancelled",
     "EventQueue",
-    "QUEUE_BACKENDS",
     "PeriodicTask",
-    "Process",
-    "ProcessKilled",
     "RegionMapProxy",
-    "Resource",
     "RngRegistry",
     "RngStream",
     "SanitizeError",
@@ -44,10 +28,7 @@ __all__ = [
     "SanitizedRngStream",
     "Sanitizer",
     "ScheduledEvent",
-    "Signal",
     "SimulationError",
     "Simulator",
-    "Store",
     "derive_seed",
-    "spawn",
 ]

@@ -17,12 +17,12 @@ flag, and a queue backref for cancellation accounting.
 
 Two further fast paths:
 
-* **Zero-delay FIFO** — ``call_after(0, ...)`` events (process wake-ups,
-  completion continuations) are appended to a plain deque instead of
-  sifting through the heap.  Because the clock never moves backwards and
-  ``seq`` is globally increasing, the deque is sorted by construction;
-  the pop path merges it with the heap head by tuple comparison, so the
-  execution order is bit-identical to pushing through the heap.
+* **Zero-delay FIFO** — ``call_after(0, ...)`` events are appended to a
+  plain deque instead of sifting through the heap.  Because the clock
+  never moves backwards and ``seq`` is globally increasing, the deque is
+  sorted by construction; the pop path merges it with the heap head by
+  tuple comparison, so the execution order is bit-identical to pushing
+  through the heap.
 * **Lazy deletion with purge** — cancellation only flags the handle.
   Cancelled entries are skipped when they surface at the head
   (:meth:`EventQueue._purge_head`), and when they exceed half the queue
@@ -34,15 +34,11 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 #: Never compact below this many cancelled entries (compaction is O(n);
 #: tiny queues are cheaper to purge lazily at the head).
 _PURGE_MIN_CANCELLED = 64
-
-
-class EventCancelled(Exception):
-    """Raised when waiting on an event that gets cancelled."""
 
 
 class ScheduledEvent:
@@ -185,57 +181,3 @@ class EventQueue:
         """Time of the next live event, or ``None`` when empty."""
         head = self._purge_head()
         return head[0] if head is not None else None
-
-
-class Signal:
-    """A one-shot event that process coroutines can wait on.
-
-    A :class:`Signal` starts pending; :meth:`fire` wakes every waiter
-    exactly once with an optional value.  Subsequent waits complete
-    immediately.  :meth:`fail` wakes waiters with an exception instead.
-    """
-
-    __slots__ = ("_fired", "_value", "_error", "_waiters")
-
-    def __init__(self) -> None:
-        self._fired = False
-        self._value: Any = None
-        self._error: Optional[BaseException] = None
-        self._waiters: List[Callable[["Signal"], None]] = []
-
-    @property
-    def fired(self) -> bool:
-        return self._fired
-
-    @property
-    def value(self) -> Any:
-        return self._value
-
-    @property
-    def error(self) -> Optional[BaseException]:
-        return self._error
-
-    def fire(self, value: Any = None) -> None:
-        if self._fired:
-            raise RuntimeError("Signal already fired")
-        self._fired = True
-        self._value = value
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            waiter(self)
-
-    def fail(self, error: BaseException) -> None:
-        if self._fired:
-            raise RuntimeError("Signal already fired")
-        self._fired = True
-        self._error = error
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            waiter(self)
-
-    def add_waiter(self, waiter: Callable[["Signal"], None]) -> None:
-        """Register ``waiter``; called immediately if already fired."""
-        if self._fired:
-            waiter(self)
-        else:
-            self._waiters.append(waiter)
