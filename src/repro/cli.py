@@ -375,29 +375,23 @@ def _profile_alloc(args: argparse.Namespace, horizon_s: float) -> int:
     with recorder.capturing():
         run = build_dayrun(seed=args.seed, horizon_s=horizon_s)
     digest = run.platform.traces.digest()
-    arena = run.platform.arena
-    arena_stats = {
-        "rows": len(arena),
-        "allocated_total": arena.allocated_total,
-        "released_total": arena.released_total,
-        "live_at_end": arena.live_count(),
-    }
+    calls = run.platform.arena.to_json()
     if args.json:
         print(json.dumps({
             "horizon_s": horizon_s, "seed": args.seed,
             "events_executed": run.sim.events_executed,
             "trace_digest": digest,
             "alloc": recorder.to_json(top=args.top),
-            "call_arena": arena_stats,
+            "calls": calls,
         }, indent=1))
     else:
         print()
         print(recorder.table(top=args.top))
         print()
-        print(f"call arena: {arena_stats['allocated_total']} calls in "
-              f"{arena_stats['rows']} rows "
-              f"({arena_stats['released_total']} slots recycled, "
-              f"{arena_stats['live_at_end']} live at end)")
+        print(f"calls: {calls['created']} created, "
+              f"{calls['terminalized']} terminalized, "
+              f"{calls['live_at_end']} live at end "
+              f"(peak {calls['peak_live']} live)")
         print(f"events executed: {run.sim.events_executed}, "
               f"trace digest {digest[:12]}...")
     if args.expect_digest and digest != args.expect_digest:
@@ -522,8 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("--alloc", action="store_true",
                         help="attribute allocations (tracemalloc) instead "
                              "of wall time: live blocks/bytes per source "
-                             "file, peak traced memory, and call-arena "
-                             "recycling stats")
+                             "file, peak traced memory, and created/"
+                             "live call counts")
     prof_p.add_argument("--expect-digest", metavar="SHA256",
                         help="fail unless the profiled run's trace digest "
                              "matches (CI parity check)")

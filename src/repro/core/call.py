@@ -4,29 +4,22 @@ A :class:`FunctionCall` is created at submission and carries its
 lifecycle timestamps through the pipeline of Figure 6: submitter →
 QueueLB → DurableQ → scheduler (FuncBuffer → RunQ) → WorkerLB → worker.
 
-Since the call-arena round (DESIGN.md §7), a ``FunctionCall`` is not a
-dataclass but a thin **view** over one row of a
-:class:`~repro.core.callarena.CallArena`: the hot numeric/state fields
-live in flat C-typed columns, and the view holds only the row index,
-the row's generation, and the handful of fields that are hottest on the
-dispatch path (``spec``, ``call_id``, ``source_level``, ``resources``,
-the memoized sort key).  Every property reads/writes its column
-bit-identically to the old dataclass field, and checks the row
-generation first so a view held past its call's release raises
-:class:`~repro.core.callarena.StaleCallError` instead of aliasing a
-recycled slot.
+It is a plain ``__slots__`` object: nothing in the platform keeps a call
+past its terminal transition (the trace log snapshots a tuple at log
+time), so refcounting frees each finished call at once and call memory
+stays O(in-flight) — while a caller that does keep one (the return value
+of ``XFaaS.submit``) can still read it after it completes.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..workloads.spec import FunctionSpec
-from .callarena import NO_OUTCOME, NO_REGION, CallArena, StaleCallError
 
-__all__ = ["CallIdAllocator", "CallState", "CallOutcome", "FunctionCall",
-           "CallArena", "StaleCallError"]
+__all__ = ["CallIdAllocator", "CallLedger", "CallState", "CallOutcome",
+           "FunctionCall"]
 
 
 class CallIdAllocator:
@@ -73,104 +66,53 @@ class CallOutcome(enum.Enum):
     ISOLATION_DENIED = "isolation_denied"
 
 
-# Arena columns store enum members as small int codes.  The code is
-# attached to each member (``.code``) and the tuples below map codes
-# back, so ``call.state is CallState.RUNNING`` identity checks keep
-# working — the column round-trip always yields the singleton member.
-_STATE_BY_CODE: Tuple[CallState, ...] = tuple(CallState)
-_OUTCOME_BY_CODE: Tuple[CallOutcome, ...] = tuple(CallOutcome)
-for _i, _member in enumerate(_STATE_BY_CODE):
-    _member.code = _i
-for _i, _member in enumerate(_OUTCOME_BY_CODE):
-    _member.code = _i
-del _i, _member
-
-#: Arena for standalone constructions (tests, baselines, benchmarks)
-#: that never pass ``arena=``.  Rows here are pinned and thus never
-#: recycled — behaviorally identical to the old dataclass, just
-#: columnar.  Platform-owned calls use the platform's own arena.
-_DEFAULT_ARENA = CallArena()
+_QUEUED = CallState.QUEUED
+_BUFFERED = CallState.BUFFERED
+_RUNNABLE = CallState.RUNNABLE
+_RUNNING = CallState.RUNNING
 
 
-_NAN = float("nan")
-_SUBMITTED_CODE = CallState.SUBMITTED.code
-_QUEUED_CODE = CallState.QUEUED.code
-_BUFFERED_CODE = CallState.BUFFERED.code
-_RUNNABLE_CODE = CallState.RUNNABLE.code
-_RUNNING_CODE = CallState.RUNNING.code
+class CallLedger:
+    """Counts of the call records one platform created and terminalized.
 
-
-def _col_property(name: str, get_expr: str, set_expr: str):
-    """Compile a generation-checked property over one arena column.
-
-    The accessor bodies are *generated source*, not closures: a closure
-    would pay a ``getattr(arena, name)`` string lookup per access, while
-    the compiled form reads ``arena.<name>`` with a direct (adaptive)
-    attribute load.  These properties are the single hottest code in the
-    simulator — every component touches call fields on every event — so
-    the property layer must cost as close to a slot read as Python
-    allows.  ``get_expr``/``set_expr`` are expressions over ``col``
-    (the indexed raw column value for get; the incoming ``value`` for
-    set) so optional/interned columns can decode/encode inline.
+    Calls are plain objects freed by refcounting, so nothing is stored
+    per call; these tallies are what ``profile --alloc`` reports.
     """
-    src = (
-        f"def fget(self):\n"
-        f"    arena = self.arena\n"
-        f"    i = self.slot\n"
-        f"    if arena.generation[i] != self.gen:\n"
-        f"        raise StaleCallError(\n"
-        f"            f'call {{self.call_id}}: stale view of released "
-        f"slot {{i}} (reading {name})')\n"
-        f"    col = arena.{name}[i]\n"
-        f"    return {get_expr}\n"
-        f"def fset(self, value):\n"
-        f"    arena = self.arena\n"
-        f"    i = self.slot\n"
-        f"    if arena.generation[i] != self.gen:\n"
-        f"        raise StaleCallError(\n"
-        f"            f'call {{self.call_id}}: stale view of released "
-        f"slot {{i}} (writing {name})')\n"
-        f"    arena.{name}[i] = {set_expr}\n"
-    )
-    ns = {"StaleCallError": StaleCallError, "NO_REGION": NO_REGION,
-          "NO_OUTCOME": NO_OUTCOME, "_NAN": _NAN,
-          "_STATE_BY_CODE": _STATE_BY_CODE,
-          "_OUTCOME_BY_CODE": _OUTCOME_BY_CODE}
-    exec(src, ns)  # noqa: S102 — template above, constants only
-    return property(ns["fget"], ns["fset"])
 
+    __slots__ = ("created", "terminalized", "peak_live")
 
-def _float_col(name: str):
-    """Property over a plain float column (bit-exact C-double storage)."""
-    return _col_property(name, "col", "value")
+    def __init__(self) -> None:
+        self.created = 0
+        self.terminalized = 0
+        #: Most calls alive at once (created, not yet terminalized).
+        self.peak_live = 0
 
+    @property
+    def live(self) -> int:
+        return self.created - self.terminalized
 
-def _opt_float_col(name: str):
-    """Property over an optional float column (NaN = None)."""
-    return _col_property(name, "None if col != col else col",
-                         "_NAN if value is None else value")
+    def note_created(self) -> None:
+        self.created += 1
+        live = self.created - self.terminalized
+        if live > self.peak_live:
+            self.peak_live = live
 
+    def note_terminalized(self) -> None:
+        self.terminalized += 1
 
-def _opt_region_col(name: str):
-    """Property over an interned-region column (-1 = None)."""
-    return _col_property(
-        name, "None if col == NO_REGION else arena.regions[col]",
-        "NO_REGION if value is None else arena.intern_region(value)")
+    def to_json(self) -> Dict[str, int]:
+        return {"created": self.created, "terminalized": self.terminalized,
+                "live_at_end": self.live, "peak_live": self.peak_live}
 
 
 class FunctionCall:
-    """One invocation travelling through the platform (arena row view).
+    """One invocation travelling through the platform."""
 
-    Construction allocates an arena row (the module-level default arena
-    when ``arena=`` is omitted) and accepts exactly the old dataclass
-    signature, so every existing call site and test works unchanged.
-    ``pinned=True`` (the default) exempts the row from recycling; the
-    bulk submission paths pass ``pinned=False`` and release the row when
-    the call terminalizes.
-    """
-
-    __slots__ = ("arena", "slot", "gen", "spec", "call_id",
-                 "source_level", "resources", "_sort_key")
+    __slots__ = ("spec", "submit_time", "start_time", "region_submitted",
+                 "source_level", "args_size_kb", "call_id", "state",
+                 "attempts", "durableq_region", "scheduler_region",
+                 "dispatch_time", "finish_time", "worker_name", "outcome",
+                 "resources", "args_spilled", "_sort_key")
 
     def __init__(self, spec: FunctionSpec, submit_time: float,
                  start_time: float, region_submitted: str,
@@ -184,183 +126,42 @@ class FunctionCall:
                  worker_name: Optional[str] = None,
                  outcome: Optional[CallOutcome] = None,
                  resources: Optional[Tuple[float, float, float]] = None,
-                 args_spilled: bool = False,
-                 arena: Optional[CallArena] = None,
-                 pinned: bool = True) -> None:
+                 args_spilled: bool = False) -> None:
         if start_time < submit_time:
             raise ValueError(
                 f"start_time {start_time} precedes submit_time "
                 f"{submit_time}")
         if args_size_kb < 0:
             raise ValueError("args_size_kb must be >= 0")
-        if arena is None:
-            arena = _DEFAULT_ARENA
-        self.arena = arena
         self.spec = spec
-        self.call_id = call_id
+        self.submit_time = submit_time
+        #: Caller-requested execution start time (§4.6: may be the future).
+        self.start_time = start_time
+        self.region_submitted = region_submitted
+        #: Bell–LaPadula classification level of the call's arguments
+        #: (§4.7).
         self.source_level = source_level
-        self.resources = resources
-        self._sort_key = None
-        i = arena.allocate(
-            arena.intern_spec(spec), submit_time, start_time,
-            arena.intern_region(region_submitted), args_size_kb,
-            state.code, attempts, pinned)
-        self.slot = i
-        self.gen = arena.generation[i]
-        # Rarely-supplied progress fields (rehydration, tests).
-        if durableq_region is not None:
-            arena.durableq_region[i] = arena.intern_region(durableq_region)
-        if scheduler_region is not None:
-            arena.scheduler_region[i] = arena.intern_region(scheduler_region)
-        if dispatch_time is not None:
-            arena.dispatch_time[i] = dispatch_time
-        if finish_time is not None:
-            arena.finish_time[i] = finish_time
-        if worker_name is not None:
-            arena.worker_name[i] = worker_name
-        if outcome is not None:
-            arena.outcome[i] = outcome.code
-        if args_spilled:
-            arena.args_spilled[i] = 1
-
-    @classmethod
-    def new_streamed(cls, spec: FunctionSpec, submit_time: float,
-                     start_time: float, region: str, call_id: int,
-                     arena: CallArena) -> "FunctionCall":
-        """Kwarg-free bulk-arrival constructor (the submit_stream path).
-
-        Field-for-field identical to ``cls(spec=..., submit_time=...,
-        start_time=..., region_submitted=..., call_id=..., arena=...,
-        pinned=False)`` with every other argument defaulted, minus the
-        15-keyword binding, the range validation (the arrival generator
-        only produces ``start_time >= submit_time`` and the default
-        args size), and the rare-field branches.
-        """
-        self = object.__new__(cls)
-        self.arena = arena
-        self.spec = spec
+        self.args_size_kb = args_size_kb
+        #: Assigned by the owner's :class:`CallIdAllocator`; 0 = unassigned.
         self.call_id = call_id
-        self.source_level = 0
-        self.resources = None
+        self.state = state
+        self.attempts = attempts
+        # Filled in as the call progresses.
+        self.durableq_region = durableq_region
+        self.scheduler_region = scheduler_region
+        self.dispatch_time = dispatch_time
+        self.finish_time = finish_time
+        self.worker_name = worker_name
+        self.outcome = outcome
+        #: Sampled per-invocation resources (cpu_minstr, memory_mb,
+        #: exec_s); sampled once at first dispatch so retries replay the
+        #: same demand.
+        self.resources = resources
+        #: True when the submitter spilled oversized args to the KV store.
+        self.args_spilled = args_spilled
+        #: Memoized :meth:`sort_key` — every buffer/RunQ (re)insertion
+        #: keys on it, and all of its inputs are fixed at submission.
         self._sort_key = None
-        i = arena.allocate(
-            arena.intern_spec(spec), submit_time, start_time,
-            arena.intern_region(region), 4.0, _SUBMITTED_CODE, 0, False)
-        self.slot = i
-        self.gen = arena.generation[i]
-        return self
-
-    # -- column-backed fields ------------------------------------------
-    submit_time = _float_col("submit_time")
-    #: Caller-requested execution start time (§4.6: may be the future).
-    start_time = _float_col("start_time")
-    args_size_kb = _float_col("args_size_kb")
-    dispatch_time = _opt_float_col("dispatch_time")
-    finish_time = _opt_float_col("finish_time")
-    region_submitted = _opt_region_col("region_submitted")
-    durableq_region = _opt_region_col("durableq_region")
-    scheduler_region = _opt_region_col("scheduler_region")
-
-    @property
-    def state(self) -> CallState:
-        arena = self.arena
-        i = self.slot
-        if arena.generation[i] != self.gen:
-            raise StaleCallError(
-                f"call {self.call_id}: stale view of released slot {i} "
-                f"(reading state)")
-        return _STATE_BY_CODE[arena.state[i]]
-
-    @state.setter
-    def state(self, value: CallState) -> None:
-        arena = self.arena
-        i = self.slot
-        if arena.generation[i] != self.gen:
-            raise StaleCallError(
-                f"call {self.call_id}: stale view of released slot {i} "
-                f"(writing state)")
-        arena.state[i] = value.code
-
-    @property
-    def outcome(self) -> Optional[CallOutcome]:
-        arena = self.arena
-        i = self.slot
-        if arena.generation[i] != self.gen:
-            raise StaleCallError(
-                f"call {self.call_id}: stale view of released slot {i} "
-                f"(reading outcome)")
-        code = arena.outcome[i]
-        return None if code == NO_OUTCOME else _OUTCOME_BY_CODE[code]
-
-    @outcome.setter
-    def outcome(self, value: Optional[CallOutcome]) -> None:
-        arena = self.arena
-        i = self.slot
-        if arena.generation[i] != self.gen:
-            raise StaleCallError(
-                f"call {self.call_id}: stale view of released slot {i} "
-                f"(writing outcome)")
-        arena.outcome[i] = NO_OUTCOME if value is None else value.code
-
-    @property
-    def attempts(self) -> int:
-        arena = self.arena
-        i = self.slot
-        if arena.generation[i] != self.gen:
-            raise StaleCallError(
-                f"call {self.call_id}: stale view of released slot {i} "
-                f"(reading attempts)")
-        return arena.attempts[i]
-
-    @attempts.setter
-    def attempts(self, value: int) -> None:
-        arena = self.arena
-        i = self.slot
-        if arena.generation[i] != self.gen:
-            raise StaleCallError(
-                f"call {self.call_id}: stale view of released slot {i} "
-                f"(writing attempts)")
-        arena.attempts[i] = value
-
-    @property
-    def worker_name(self) -> Optional[str]:
-        arena = self.arena
-        i = self.slot
-        if arena.generation[i] != self.gen:
-            raise StaleCallError(
-                f"call {self.call_id}: stale view of released slot {i} "
-                f"(reading worker_name)")
-        return arena.worker_name[i]
-
-    @worker_name.setter
-    def worker_name(self, value: Optional[str]) -> None:
-        arena = self.arena
-        i = self.slot
-        if arena.generation[i] != self.gen:
-            raise StaleCallError(
-                f"call {self.call_id}: stale view of released slot {i} "
-                f"(writing worker_name)")
-        arena.worker_name[i] = value
-
-    @property
-    def args_spilled(self) -> bool:
-        arena = self.arena
-        i = self.slot
-        if arena.generation[i] != self.gen:
-            raise StaleCallError(
-                f"call {self.call_id}: stale view of released slot {i} "
-                f"(reading args_spilled)")
-        return bool(arena.args_spilled[i])
-
-    @args_spilled.setter
-    def args_spilled(self, value: bool) -> None:
-        arena = self.arena
-        i = self.slot
-        if arena.generation[i] != self.gen:
-            raise StaleCallError(
-                f"call {self.call_id}: stale view of released slot {i} "
-                f"(writing args_spilled)")
-        arena.args_spilled[i] = 1 if value else 0
 
     # -- derived -------------------------------------------------------
     @property
@@ -378,13 +179,7 @@ class FunctionCall:
 
     def is_ready(self, now: float) -> bool:
         """Past its requested execution start time."""
-        arena = self.arena
-        i = self.slot
-        if arena.generation[i] != self.gen:
-            raise StaleCallError(
-                f"call {self.call_id}: stale view of released slot {i} "
-                f"(is_ready)")
-        return now >= arena.start_time[i]
+        return now >= self.start_time
 
     def sort_key(self) -> Tuple[float, float, int]:
         """FuncBuffer order (§4.4): criticality first, then deadline.
@@ -402,73 +197,36 @@ class FunctionCall:
                 self._sort_key = key
         return key
 
-    # -- fused hot-path transitions ------------------------------------
-    # Each multi-column lifecycle transition on the dispatch/completion
-    # path pays exactly one generation check instead of one per property
-    # access.  Semantics are identical to the unfused property writes.
-    # The zero-argument single-state marks exist for the same reason:
-    # a bound-method call specializes better than a property descriptor
-    # set and skips the enum ``.code`` lookup — the pipeline performs
-    # millions of these per day-run.
+    # -- lifecycle transitions -----------------------------------------
+    # Named transitions for the dispatch/completion path; each is the
+    # plain attribute writes it names.
 
     def mark_buffered(self) -> None:
         """State := BUFFERED (leased into a scheduler FuncBuffer)."""
-        arena = self.arena
-        i = self.slot
-        if arena.generation[i] != self.gen:
-            raise StaleCallError(
-                f"call {self.call_id}: stale view of released slot {i} "
-                f"(mark_buffered)")
-        arena.state[i] = _BUFFERED_CODE
+        self.state = _BUFFERED
 
     def mark_runnable(self) -> None:
         """State := RUNNABLE (parked in the RunQ)."""
-        arena = self.arena
-        i = self.slot
-        if arena.generation[i] != self.gen:
-            raise StaleCallError(
-                f"call {self.call_id}: stale view of released slot {i} "
-                f"(mark_runnable)")
-        arena.state[i] = _RUNNABLE_CODE
+        self.state = _RUNNABLE
 
     def mark_running(self) -> None:
         """State := RUNNING (handed to the WorkerLB for placement)."""
-        arena = self.arena
-        i = self.slot
-        if arena.generation[i] != self.gen:
-            raise StaleCallError(
-                f"call {self.call_id}: stale view of released slot {i} "
-                f"(mark_running)")
-        arena.state[i] = _RUNNING_CODE
+        self.state = _RUNNING
 
     def mark_dispatched(self, worker_name: str, now: float) -> None:
         """Worker pickup: record the worker and the *first* dispatch time.
 
         Retries keep the original dispatch time (queueing delay is
-        measured to first pickup, matching the unfused
-        ``dispatch_time = now if ... is None else ...`` idiom).
+        measured to first pickup).
         """
-        arena = self.arena
-        i = self.slot
-        if arena.generation[i] != self.gen:
-            raise StaleCallError(
-                f"call {self.call_id}: stale view of released slot {i} "
-                f"(mark_dispatched)")
-        arena.worker_name[i] = worker_name
-        col = arena.dispatch_time
-        if col[i] != col[i]:  # NaN sentinel: not yet dispatched
-            col[i] = now
+        self.worker_name = worker_name
+        if self.dispatch_time is None:
+            self.dispatch_time = now
 
     def mark_queued(self, region: str) -> None:
         """DurableQ persist: QUEUED state plus the owning queue region."""
-        arena = self.arena
-        i = self.slot
-        if arena.generation[i] != self.gen:
-            raise StaleCallError(
-                f"call {self.call_id}: stale view of released slot {i} "
-                f"(mark_queued)")
-        arena.state[i] = _QUEUED_CODE
-        arena.durableq_region[i] = arena.intern_region(region)
+        self.state = _QUEUED
+        self.durableq_region = region
 
     def terminalize(self, outcome: CallOutcome, state: CallState,
                     now: float) -> None:
@@ -478,49 +236,31 @@ class FunctionCall:
         record completion times themselves; this backfills expiries and
         failures that never reached a worker.
         """
-        arena = self.arena
-        i = self.slot
-        if arena.generation[i] != self.gen:
-            raise StaleCallError(
-                f"call {self.call_id}: stale view of released slot {i} "
-                f"(terminalize)")
-        arena.outcome[i] = outcome.code
-        arena.state[i] = state.code
-        col = arena.finish_time
-        if col[i] != col[i]:
-            col[i] = now
+        self.outcome = outcome
+        self.state = state
+        if self.finish_time is None:
+            self.finish_time = now
 
     def trace_snapshot(self, outcome_name: str) -> tuple:
-        """The 17-field ``CallTrace`` constructor tuple, read columnar.
+        """The 17-field ``CallTrace`` constructor tuple.
 
-        ``TraceLog.add_call`` snapshots finished calls through this
-        (single generation check, direct column reads) so trace capture
-        never retains the view past the platform's release point.
+        ``TraceLog.add_call`` snapshots finished calls through this, so
+        the trace log never keeps the call object alive.
         """
-        arena = self.arena
-        i = self.slot
-        if arena.generation[i] != self.gen:
-            raise StaleCallError(
-                f"call {self.call_id}: stale view of released slot {i} "
-                f"(trace_snapshot)")
         spec = self.spec
         resources = self.resources or (0.0, 0.0, 0.0)
-        dispatch = arena.dispatch_time[i]
-        finish = arena.finish_time[i]
-        sched_idx = arena.scheduler_region[i]
-        worker = arena.worker_name[i]
+        dispatch = self.dispatch_time
+        finish = self.finish_time
         return (self.call_id, spec.name, spec.trigger.value,
                 int(spec.criticality), spec.quota_type.value,
-                arena.submit_time[i], arena.start_time[i],
-                -1.0 if dispatch != dispatch else dispatch,
-                -1.0 if finish != finish else finish,
-                arena.regions[arena.region_submitted[i]],
-                "" if sched_idx == NO_REGION else arena.regions[sched_idx],
-                "" if worker is None else worker,
-                outcome_name, resources[0], resources[1], resources[2],
-                arena.attempts[i] + 1)
+                self.submit_time, self.start_time,
+                -1.0 if dispatch is None else dispatch,
+                -1.0 if finish is None else finish,
+                self.region_submitted, self.scheduler_region or "",
+                self.worker_name or "", outcome_name,
+                resources[0], resources[1], resources[2],
+                self.attempts + 1)
 
     def __repr__(self) -> str:
         return (f"FunctionCall(id={self.call_id}, "
-                f"function={self.spec.name!r}, slot={self.slot}, "
-                f"gen={self.gen})")
+                f"function={self.spec.name!r}, state={self.state.name})")

@@ -185,7 +185,7 @@ class DurableQ:
         """ACK a leased call identified only by its id.
 
         Returns the acked call (or None when no lease matched) so the
-        caller can recycle its arena slot — in parallel mode the owning
+        caller can count it retired — in parallel mode the owning
         shard's record becomes garbage the moment the executing shard's
         ACK lands.
         """

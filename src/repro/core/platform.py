@@ -31,7 +31,7 @@ from ..sim.sampler import SamplerHub
 from ..sim.simsan import region_map
 from ..workloads.spec import FunctionSpec, QuotaType
 from ..workloads.trace import TraceLog
-from .call import CallArena, CallIdAllocator, CallOutcome, FunctionCall
+from .call import CallIdAllocator, CallLedger, CallOutcome, FunctionCall
 from .codedeploy import CodeDeployer, RolloutParams
 from .config import ConfigStore
 from .congestion import CongestionController, CongestionParams
@@ -99,11 +99,11 @@ class XFaaS:
         self.metrics = MetricsRegistry()
         self.traces = TraceLog()
         self._call_id_allocator = CallIdAllocator()
-        #: Columnar store for every call record this platform creates
-        #: (see :mod:`repro.core.callarena`).  Bulk-arrival slots are
-        #: recycled on terminalization, so steady-state memory is
-        #: O(in-flight calls), not O(calls submitted).
-        self.arena = CallArena()
+        #: Counts of the calls this platform created and terminalized.
+        #: The name is kept from the columnar call store this replaced
+        #: because external sizing tools (perfbench's retained-memory
+        #: walk) read ``platform.arena``.
+        self.arena = CallLedger()
         self.services = services or ServiceRegistry()
         self.namespaces = NamespaceRegistry()
         self.config = ConfigStore(sim, params.config_propagation_s)
@@ -341,15 +341,15 @@ class XFaaS:
         # trace digests) must depend only on this run, never on how many
         # simulations the process ran before (simlint SL001) — the sweep
         # engine compares digests across workers.
-        # Pinned arena row: the call is handed back to the caller, who
-        # may hold it indefinitely, so its slot is never recycled.
+        # The caller may keep the returned call; it stays readable after
+        # it completes, and is freed once the caller drops it.
         call = FunctionCall(spec=spec, submit_time=now,
                             start_time=now + start_delay_s,
                             region_submitted=region,
                             source_level=source_level,
                             args_size_kb=args_size_kb,
-                            call_id=self._call_id_allocator.allocate(),
-                            arena=self.arena)
+                            call_id=self._call_id_allocator.allocate())
+        self.arena.note_created()
         self._calls_received.add(now)
         self.submitted_count += 1
         accepted = self.frontends[region].submit(call)
@@ -360,18 +360,17 @@ class XFaaS:
         """Bulk arrival-stream submission: one call, nothing returned.
 
         The :class:`~repro.workloads.generator.ArrivalGenerator` fast
-        path: materializes the arrival record directly into an
-        *unpinned* arena slot (recycled when the call terminalizes) and
-        skips the name lookup and return plumbing of :meth:`submit`.
+        path: takes the spec directly and skips the name lookup,
+        argument checks and return plumbing of :meth:`submit`.
         Draw-for-draw identical to ``submit(spec.name,
         start_delay_s=...)`` — same RNG stream order, same counters —
         so trace digests are unchanged.
         """
         region = self._pick_client_region()
         now = self.sim.now
-        call = FunctionCall.new_streamed(
-            spec, now, now + start_delay_s, region,
-            self._call_id_allocator.allocate(), self.arena)
+        call = FunctionCall(spec, now, now + start_delay_s, region, 0, 4.0,
+                            self._call_id_allocator.allocate())
+        self.arena.note_created()
         self._calls_received.add(now)
         self.submitted_count += 1
         self.frontends[region].submit(call)
@@ -413,7 +412,7 @@ class XFaaS:
             service = self.services.maybe_get(service_name)
             if service is None:
                 continue
-            result = service.call(n, caller=call.function_name)
+            result = service.call(n)
             if result.exceptions and self.params.aimd:
                 self.congestion.on_backpressure(
                     call.function_name, service_name, result.exceptions)
@@ -450,17 +449,14 @@ class XFaaS:
                 call, outcome.value if outcome else "unknown")
         for listener in self._completion_listeners:
             listener(call, outcome)
-        # Terminalized: recycle the arena slot (no-op for pinned rows).
-        # Nothing may touch ``call`` past this line — the trace log
-        # snapshotted above, and listeners retain call ids, not views.
-        call.arena.release(call.slot, call.gen)
+        self.arena.note_terminalized()
 
     def _on_throttle(self, call: FunctionCall) -> None:
         self.throttled_count += 1
         self._calls_throttled.add(self.sim.now)
         if self.params.collect_traces:
             self.traces.add_call(call, "throttled")
-        call.arena.release(call.slot, call.gen)
+        self.arena.note_terminalized()
 
     # ------------------------------------------------------------------
     # Periodic samplers

@@ -334,8 +334,8 @@ class Scheduler:
                     self._buffered_total -= 1
                     continue  # terminal; next call
                 # head[0][1] is the memoized sort key's deadline term —
-                # exactly start_time + spec.deadline_s, without touching
-                # the call's arena columns.
+                # exactly start_time + spec.deadline_s, without
+                # re-deriving it from the call.
                 if drop_expired and now > head[0][1]:
                     self.expired_count += 1
                     self._finalize(call, CallOutcome.ERROR, expired=True)

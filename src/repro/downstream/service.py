@@ -113,7 +113,7 @@ class DownstreamService:
         self._capacity_factor = factor
 
     # ------------------------------------------------------------------
-    def call(self, n: int, caller: str = "?") -> ServiceCallResult:
+    def call(self, n: int) -> ServiceCallResult:
         """Issue ``n`` requests; returns per-batch ok/exception/failure."""
         if n <= 0:
             return ServiceCallResult()
@@ -143,7 +143,7 @@ class DownstreamService:
             if result.failures or result.exceptions:
                 amplified = int(round(amplified * 1.5))
             if amplified > 0:
-                dep.call(amplified, caller=f"{caller}->{self.name}")
+                dep.call(amplified)
         return result
 
     # ------------------------------------------------------------------

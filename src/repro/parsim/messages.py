@@ -68,30 +68,23 @@ def serialize_call(call: Any) -> Tuple[Any, ...]:
             call.resources, call.args_spilled)
 
 
-def rehydrate_call(data: Tuple[Any, ...], specs: Dict[str, Any],
-                   arena: Any = None) -> Any:
+def rehydrate_call(data: Tuple[Any, ...], specs: Dict[str, Any]) -> Any:
     """Rebuild a ``FunctionCall`` from :func:`serialize_call` output.
 
     ``specs`` is the receiving shard's function registry — every shard
     replays the full (replicated) registration stream, so the spec is
     always present.  The call lands in ``BUFFERED`` state, exactly
     where :meth:`DurableQ.poll` leaves a locally leased call.
-
-    When the receiving shard passes its ``arena``, the copy lands in an
-    *unpinned* slot there, recycled when the execution terminalizes
-    (ACK release) or the copy is abandoned (remote NACK).
     """
     from ..core.call import CallState, FunctionCall
     (spec_name, submit_time, start_time, region_submitted, source_level,
      args_size_kb, call_id, attempts, durableq_region, resources,
      args_spilled) = data
-    call = FunctionCall(spec=specs[spec_name], submit_time=submit_time,
+    return FunctionCall(spec=specs[spec_name], submit_time=submit_time,
                         start_time=start_time,
                         region_submitted=region_submitted,
                         source_level=source_level,
                         args_size_kb=args_size_kb, call_id=call_id,
                         state=CallState.BUFFERED, attempts=attempts,
                         durableq_region=durableq_region,
-                        resources=resources, args_spilled=args_spilled,
-                        arena=arena, pinned=arena is None)
-    return call
+                        resources=resources, args_spilled=args_spilled)

@@ -36,7 +36,7 @@ from ..cluster.topology import (
     build_topology,
     size_topology_for_utilization,
 )
-from ..core.call import CallArena, CallIdAllocator, CallOutcome, FunctionCall
+from ..core.call import CallIdAllocator, CallLedger, CallOutcome, FunctionCall
 from ..core.config import ConfigStore
 from ..core.congestion import CongestionController
 from ..core.durableq import DurableQ
@@ -130,8 +130,8 @@ class RemoteRegionHandle:
             (self.region, self.dq_index, call.call_id, retry_delay_s),
             self.latency_s)
         # The local rehydrated copy is abandoned here — the owning
-        # region re-enqueues *its* record on NACK; recycle the copy.
-        call.arena.release(call.slot, call.gen)
+        # region re-enqueues *its* record on NACK.
+        self.platform.arena.note_terminalized()
 
     def extend_lease(self, call_id: int) -> None:
         self.platform.send(
@@ -184,10 +184,9 @@ class ShardPlatform:
         self.metrics = MetricsRegistry()
         self.traces = TraceLog()
         self._call_id_allocator = CallIdAllocator()
-        #: Per-shard call arena — every shard stores only the calls it
-        #: materializes (owned arrivals + rehydrated remote leases), so
-        #: shard memory scales with owned in-flight calls.
-        self.arena = CallArena()
+        #: Counts of the calls this shard materializes (owned arrivals
+        #: and rehydrated remote leases); named like ``XFaaS.arena``.
+        self.arena = CallLedger()
         self.namespaces = NamespaceRegistry()
         self.config = ConfigStore(sim, params.config_propagation_s)
         self.kvstore = DistributedKVStore(sim)
@@ -450,8 +449,8 @@ class ShardPlatform:
         call = FunctionCall(spec=spec, submit_time=now,
                             start_time=now + start_delay_s,
                             region_submitted=region,
-                            call_id=call_id, resources=resources,
-                            arena=self.arena, pinned=False)
+                            call_id=call_id, resources=resources)
+        self.arena.note_created()
         self._calls_received.add(now)
         self.submitted_count += 1
         self.frontends[region].submit(call)
@@ -507,15 +506,15 @@ class ShardPlatform:
             scheduler = self.schedulers[sched_region]
             for data in calls:
                 scheduler.accept_remote(
-                    rehydrate_call(data, self._specs, self.arena), handle)
+                    rehydrate_call(data, self._specs), handle)
+                self.arena.note_created()
         elif kind == KIND_DQ_ACK:
             dq_region, dq_index, call_id = payload
-            acked = self.durableqs_by_region[dq_region][dq_index] \
-                .ack_by_id(call_id)
-            if acked is not None:
+            if self.durableqs_by_region[dq_region][dq_index] \
+                    .ack_by_id(call_id) is not None:
                 # The owner-side record is garbage once the executing
-                # shard's ACK lands: recycle its slot.
-                acked.arena.release(acked.slot, acked.gen)
+                # shard's ACK lands.
+                self.arena.note_terminalized()
         elif kind == KIND_DQ_NACK:
             dq_region, dq_index, call_id, retry_delay = payload
             self.durableqs_by_region[dq_region][dq_index].nack_by_id(
@@ -560,7 +559,7 @@ class ShardPlatform:
                 service = services.maybe_get(service_name)
                 if service is None:
                     continue
-                result = service.call(n, caller=call.function_name)
+                result = service.call(n)
                 if result.exceptions and self.params.aimd:
                     congestion.on_backpressure(
                         call.function_name, service_name, result.exceptions)
@@ -606,16 +605,14 @@ class ShardPlatform:
         if self.params.collect_traces:
             self.traces.add_call(
                 call, outcome.value if outcome else "unknown")
-        # Terminalized on this shard: recycle the slot (the trace log
-        # snapshotted above; nothing touches the view past this line).
-        call.arena.release(call.slot, call.gen)
+        self.arena.note_terminalized()
 
     def _on_throttle(self, call: FunctionCall) -> None:
         self.throttled_count += 1
         self._calls_throttled.add(self.sim.now)
         if self.params.collect_traces:
             self.traces.add_call(call, "throttled")
-        call.arena.release(call.slot, call.gen)
+        self.arena.note_terminalized()
 
     # ------------------------------------------------------------------
     # Periodic samplers (owned regions)

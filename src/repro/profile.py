@@ -153,7 +153,6 @@ class ProfileRecorder:
     # ------------------------------------------------------------------
     def run_until(self, sim: Any, until: float) -> None:
         sim._stopped = False
-        sim._running = True
         queue = sim._queue
         purge_head = queue._purge_head
         pop_head = queue._pop_head
@@ -174,11 +173,9 @@ class ProfileRecorder:
         finally:
             sim.events_executed += executed
             self.events_profiled += executed
-            sim._running = False
 
     def run(self, sim: Any, max_events: Optional[int] = None) -> None:
         sim._stopped = False
-        sim._running = True
         queue = sim._queue
         purge_head = queue._purge_head
         pop_head = queue._pop_head
@@ -199,7 +196,6 @@ class ProfileRecorder:
         finally:
             sim.events_executed += executed
             self.events_profiled += executed
-            sim._running = False
 
     # ------------------------------------------------------------------
     # Component-method instrumentation
@@ -305,11 +301,10 @@ class AllocationRecorder:
 
     The time profiler says where the *seconds* go; this says where the
     *objects* come from.  It samples the heap with :mod:`tracemalloc`
-    around a run and attributes live blocks and bytes to source files,
-    which is exactly the view that motivated the call-record arena: a
-    boxed-dataclass call layer shows up as tens of thousands of live
-    blocks in ``core/call.py``/``core/platform.py``, an arena-backed one
-    as a handful of flat columns.
+    around a run and attributes live blocks and bytes to source files:
+    a layer that keeps call records past their terminal transition
+    shows up as live blocks in its file that grow with total
+    submissions instead of with the calls in flight.
 
     Same determinism contract as :class:`ProfileRecorder`: tracemalloc
     only observes the allocator, so the traced run's digest is

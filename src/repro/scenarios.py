@@ -140,9 +140,8 @@ def build_dayrun(seed: int = 7, total_rate: float = 8.0,
         platform.register_spiky_client(
             platform.spec(spiky_function).team)
 
-    # The arrival stream materializes batches directly into unpinned
-    # arena slots — submit_stream is draw-for-draw identical to
-    # submit(spec.name, ...) but recycles each slot on terminalization.
+    # submit_stream is draw-for-draw identical to submit(spec.name, ...)
+    # minus the name lookup and the returned call.
     ArrivalGenerator(sim, population, platform.submit_stream,
                      tick_s=20.0, stop_at=horizon_s)
     sim.run_until(horizon_s)

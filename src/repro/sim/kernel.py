@@ -52,7 +52,6 @@ class Simulator:
                 seed, self.sanitizer)
         else:
             self.rng = RngRegistry(seed)
-        self._running = False
         self._stopped = False
         self.events_executed = 0
         #: Optional time-attribution recorder (see :mod:`repro.profile`).
@@ -144,7 +143,6 @@ class Simulator:
             self.profiler.run_until(self, time)
             return
         self._stopped = False
-        self._running = True
         queue = self._queue
         purge_head = queue._purge_head
         pop_head = queue._pop_head
@@ -162,7 +160,6 @@ class Simulator:
                 self._now = time
         finally:
             self.events_executed += executed
-            self._running = False
 
     def run(self, max_events: Optional[int] = None) -> None:
         """Run until the event queue drains (or ``max_events`` executed)."""
@@ -170,7 +167,6 @@ class Simulator:
             self.profiler.run(self, max_events)
             return
         self._stopped = False
-        self._running = True
         queue = self._queue
         purge_head = queue._purge_head
         pop_head = queue._pop_head
@@ -188,7 +184,6 @@ class Simulator:
                 entry[3].callback()
         finally:
             self.events_executed += executed
-            self._running = False
 
     def stop(self) -> None:
         """Stop the currently running :meth:`run`/:meth:`run_until` loop."""

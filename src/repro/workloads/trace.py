@@ -58,34 +58,6 @@ class CallTrace:
         return self.region_submitted != self.region_executed
 
 
-def snapshot_call(call: Any, outcome_name: str) -> Tuple[Any, ...]:
-    """The :class:`CallTrace` constructor tuple for a finished call.
-
-    Duck-typed over :class:`repro.core.call.FunctionCall` (this module
-    must not import ``repro.core``): any object with the call lifecycle
-    attributes works.  Arena-backed calls provide a columnar fast path
-    (``trace_snapshot``) that :meth:`TraceLog.add_call` prefers; this
-    generic reader is the fallback for other call-like objects.
-    """
-    resources = call.resources or (0.0, 0.0, 0.0)
-    spec = call.spec
-    dispatch = call.dispatch_time
-    finish = call.finish_time
-    return (call.call_id, call.function_name, spec.trigger.value,
-            call.criticality, spec.quota_type.value, call.submit_time,
-            call.start_time,
-            -1.0 if dispatch is None else dispatch,
-            -1.0 if finish is None else finish,
-            call.region_submitted, call.scheduler_region or "",
-            call.worker_name or "", outcome_name,
-            resources[0], resources[1], resources[2], call.attempts + 1)
-
-
-def trace_from_call(call: Any, outcome_name: str) -> CallTrace:
-    """Build a :class:`CallTrace` from a finished call object."""
-    return CallTrace(*snapshot_call(call, outcome_name))
-
-
 class TraceLog:
     """An append-only collection of :class:`CallTrace` with CSV round-trip.
 
@@ -94,10 +66,9 @@ class TraceLog:
     path) snapshots the call's fields into a plain constructor tuple
     and defers the 17-field dataclass construction until the log is
     first *read*.  Snapshotting at add time (rather than retaining the
-    call object) is what lets the platform release the call's arena
-    slot immediately after — the log never holds a view across its
-    release point (simlint SL016).  ``digest()`` is the regression test
-    that the deferred construction yields byte-identical traces.
+    call object) is what lets refcounting free a finished call as soon
+    as the platform drops it.  ``digest()`` is the regression test that
+    the deferred construction yields byte-identical traces.
     """
 
     def __init__(self) -> None:
@@ -118,10 +89,12 @@ class TraceLog:
         self._traces.append(trace)
 
     def add_call(self, call: Any, outcome_name: str) -> None:
-        """Record a finished call, snapshotting its fields immediately."""
-        snap = getattr(call, "trace_snapshot", None)
-        self._pending.append(snap(outcome_name) if snap is not None
-                             else snapshot_call(call, outcome_name))
+        """Record a finished call, snapshotting its fields immediately.
+
+        ``call`` is a :class:`repro.core.call.FunctionCall` (duck-typed:
+        this module must not import ``repro.core``).
+        """
+        self._pending.append(call.trace_snapshot(outcome_name))
 
     def _materialize(self) -> None:
         if self._pending:

@@ -27,7 +27,6 @@ CASES = {
     "SL013": ("sim/bad_sl013.py", 6),
     "SL014": ("core/bad_sl014.py", 6),
     "SL015": ("metrics/bad_sl015.py", 4),
-    "SL016": ("core/bad_sl016.py", 5),
 }
 
 GOOD = {
@@ -46,7 +45,6 @@ GOOD = {
     "SL013": "sim/good_sl013.py",
     "SL014": "core/good_sl014.py",
     "SL015": "metrics/good_sl015.py",
-    "SL016": "core/good_sl016.py",
 }
 
 SUPPRESSED = {
@@ -65,7 +63,6 @@ SUPPRESSED = {
     "SL013": "sim/suppressed_sl013.py",
     "SL014": "core/suppressed_sl014.py",
     "SL015": "metrics/suppressed_sl015.py",
-    "SL016": "core/suppressed_sl016.py",
 }
 
 
@@ -127,7 +124,7 @@ class TestRegistry:
         assert sorted(rules_by_id()) == [
             "SL001", "SL002", "SL003", "SL004", "SL005", "SL006", "SL007",
             "SL008", "SL009", "SL010", "SL011", "SL012", "SL013", "SL014",
-            "SL015", "SL016"]
+            "SL015"]
 
     def test_every_rule_documents_itself(self):
         for rule in ALL_RULES:
